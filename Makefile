@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt check bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt check bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke perfbench-selftest clean
 
 all: build
 
@@ -19,9 +19,15 @@ fmt:
 
 # Everything CI needs: the build, formatting (dune files; the container has
 # no ocamlformat), the full test suite, the parallel suite under a forced
-# multi-domain pool, and the multi-replica serving smoke (routing, worker
-# kill/respawn, result-cache persistence).
-check: build fmt test test-par kron-smoke replica-smoke
+# multi-domain pool, the multi-replica serving smoke (routing, worker
+# kill/respawn, result-cache persistence) and the repo benchmark's own
+# self-tests.
+check: build fmt test test-par kron-smoke replica-smoke perfbench-selftest
+
+# The repo benchmark's unit tests (workload generation, statistics, answer
+# checks, result-line contract): pure Python, no build, well under a second.
+perfbench-selftest:
+	python3 perfbench/test_perfbench.py
 
 # Quick end-to-end telemetry smoke: the solver-telemetry bench section with
 # JSONL events streamed to a file.

@@ -180,9 +180,7 @@ let smoother =
   Arg.(value & opt smoother_conv `Lex & info [ "smoother" ] ~doc)
 
 (* the CLI exposes the three practical solvers; widen to Model.solve's type *)
-let widen_solver (s : [ `Multigrid | `Power | `Gauss_seidel ]) =
-  (s
-    :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ])
+let widen_solver (s : [ `Multigrid | `Power | `Gauss_seidel ]) = (s :> Cdr.Chain_spec.solver)
 
 (* ---------- parallelism (see Cdr_par) ---------- *)
 
@@ -337,7 +335,7 @@ let analyze_term =
               let report = Cdr.Report.run ~solver ~pool ~smoother cfg in
               Format.printf "%a@." Cdr.Report.pp report;
               let model = Cdr.Model.build ~pool cfg in
-              let solution = Cdr.Model.solve ~solver:(widen_solver solver) ~pool ~smoother model in
+              let solution = Cdr.Model.solve ~solver:(widen_solver solver) ~ctx:(Cdr.Context.make ~pool ~smoother ()) model in
               let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
               Format.printf "Mean time between cycle slips: %.3e bit intervals@." mtbf;
               report
@@ -574,7 +572,7 @@ let solvers_cmd =
     List.iter
       (fun (name, s) ->
         let t0 = Unix.gettimeofday () in
-        let sol = Cdr.Model.solve ~solver:s ~tol:1e-10 model in
+        let sol = Cdr.Model.solve ~solver:s ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model in
         Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@." name
           sol.Markov.Solution.iterations sol.Markov.Solution.residual
           (Unix.gettimeofday () -. t0)

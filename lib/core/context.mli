@@ -8,11 +8,11 @@
     is that list as a value: build it once, hand it to any entry point with
     [?ctx], and the layers below forward it unchanged.
 
-    The per-call optional arguments are kept on every entry point as thin
-    wrappers: an explicit argument overrides the corresponding context field
-    ({!override}), and a call that passes neither gets {!default} — which
-    reproduces the historical defaults exactly, so existing call sites are
-    bitwise unchanged.
+    The solve entry points ({!Model.solve}, {!Kron_model.solve}) take only
+    [?ctx]; {!Ber}, {!Report} and {!Sweep} still keep their per-call
+    optional arguments as thin wrappers: an explicit argument overrides the
+    corresponding context field ({!override}). A call that passes neither
+    gets {!default}, which reproduces the historical defaults exactly.
 
     The long-running analysis service is the motivating consumer: it builds
     one context per request (process-wide cache, shared pool, per-request
@@ -45,10 +45,12 @@ type t = {
   tol : float;  (** solver convergence tolerance, [1e-12] *)
   cancel : (unit -> bool) option;
       (** cooperative-cancellation hook, polled between multigrid V-cycles
-          (see {!Markov.Multigrid.solve_with}); [true] aborts the solve with
+          (see {!Markov.Multigrid.solve_with}), between IAD cycles and once
+          per first-passage extrapolation window
+          ({!Cycle_slip.mean_first_slip_time}); [true] aborts the solve with
           {!Markov.Multigrid.Cancelled}. The serving layer points this at a
-          deadline check. Only the multigrid solver polls it — the other
-          solvers complete normally. *)
+          deadline check. Power iteration and the splittings do not poll
+          it. *)
   backend : Cdr_op.kind;
       (** operator representation the solve runs on, [`Csr]. [`Kron] routes
           the entry points that support it through the matrix-free Kronecker
@@ -90,7 +92,7 @@ val override :
   t
 (** [t] with every {e explicitly passed} argument replacing the matching
     field — the wrapper the entry points use to keep their historical
-    optional arguments: [Model.solve ?tol ?pool ?ctx] is
-    [solve_ctx (override ?tol ?pool ctx)]. An argument that is not passed
+    optional arguments: [Ber.analyze ?pool ?ctx] is
+    [analyze (override ?pool ctx)]. An argument that is not passed
     leaves the field alone (there is no way to {e clear} a field through
     [override]; build a fresh context for that). *)

@@ -121,8 +121,20 @@ let build ?(params = default_params) cfg =
 let solve ?(tol = 1e-11) t =
   Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol t.chain
 
-let phase_marginal t ~pi =
-  Markov.Stat.marginal ~pi ~label:t.phase_bin ~n_labels:t.config.Config.grid_points
+(* the chain-layer measures only read the phase coordinate; the frequency
+   register stands in as the lead coordinate *)
+let spec t =
+  {
+    Chain_spec.op = Cdr_op.Csr_backend.create (Markov.Chain.tpm t.chain);
+    chain = Some t.chain;
+    lead = (fun i -> t.freq_value i + t.params.max_f);
+    counter = (fun _ -> 0);
+    phase = t.phase_bin;
+    config = t.config;
+    iad = Chain_spec.no_memo;
+  }
+
+let phase_marginal t ~pi = Chain_spec.phase_marginal (spec t) ~pi
 
 let freq_marginal t ~pi =
   let f = t.params.max_f in
@@ -131,6 +143,4 @@ let freq_marginal t ~pi =
 
 let ber t ~pi = Ber.of_marginal t.config ~rho:(phase_marginal t ~pi)
 
-let slip_rate t ~pi =
-  Markov.Passage.flux t.chain ~pi ~crossing:(fun i j ->
-      Phase_error.crosses_boundary t.config ~src:(t.phase_bin i) ~dst:(t.phase_bin j))
+let slip_rate t ~pi = Chain_spec.slip_rate (spec t) ~pi

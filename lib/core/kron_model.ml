@@ -175,91 +175,30 @@ let index_of t ~data ~counter ~phase =
   then None
   else Some ((((data * t.n_counter) + counter) * t.m) + phase)
 
-(* Same coarsening strategy as {!Model.hierarchy} — halve the phase grid,
-   then the counter — but on the full product space, where every (d, c, p)
-   triple exists and the lumping maps are pure arithmetic. *)
-let hierarchy t =
-  let rec go ~n_counter ~m acc =
-    let n = t.n_data * n_counter * m in
-    if n <= Markov.Gth.max_direct_size || (m <= 1 && n_counter <= 1) then List.rev acc
-    else if m > 1 then begin
-      let mc = (m + 1) / 2 in
-      let map =
-        Array.init n (fun i ->
-            let p = i mod m and dc = i / m in
-            (dc * mc) + (p / 2))
-      in
-      go ~n_counter ~m:mc (Markov.Partition.create map :: acc)
-    end
-    else begin
-      let cc = (n_counter + 1) / 2 in
-      let map =
-        Array.init n (fun i ->
-            let p = i mod m in
-            let c = i / m mod n_counter in
-            let d = i / (m * n_counter) in
-            (((d * cc) + (c / 2)) * m) + p)
-      in
-      go ~n_counter:cc ~m (Markov.Partition.create map :: acc)
-    end
-  in
-  go ~n_counter:t.n_counter ~m:t.m []
+let spec t =
+  {
+    Chain_spec.op = t.op;
+    chain = None;
+    lead = data_code t;
+    counter = counter_code t;
+    phase = phase_bin t;
+    config = t.config;
+    iad = { get = (fun () -> t.iad); set = (fun s -> t.iad <- Some s) };
+  }
+
+let hierarchy t = Chain_spec.hierarchy (spec t)
 
 type solver = [ `Power | `Jacobi | `Multigrid ]
 
-let solver_name = function `Power -> "power" | `Jacobi -> "jacobi" | `Multigrid -> "multigrid"
+let solver_name (s : solver) = Chain_spec.solver_name s
 
-let solve ?(solver = `Power) ?(ctx = Context.default) t =
-  let { Context.tol; trace; pool; cancel; _ } = ctx in
-  let init =
-    match ctx.Context.init with
-    | Some v when Array.length v = t.n_states -> Some v
-    | Some _ | None -> None
-  in
-  Cdr_obs.Span.with_ ~name:"model.solve"
-    ~attrs:[ ("solver", solver_name solver); ("backend", "kron") ]
-  @@ fun () ->
-  Cdr_obs.Metrics.incr "model.solves"
-    ~labels:[ ("solver", solver_name solver); ("backend", "kron") ];
-  match solver with
-  | `Power -> Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-  | `Jacobi -> Markov.Splitting.solve_op ~tol ?init ?trace ?pool t.op
-  | `Multigrid -> (
-      match hierarchy t with
-      | [] ->
-          (* the whole model fits a direct solve; no aggregation level to
-             run the IAD cycle through *)
-          Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-      | partition :: coarse_hierarchy ->
-          (* the IAD setup (partition arrays, workspaces, aggregated coarse
-             pattern) depends only on the model's structure: prepare once,
-             reuse for every solve against this model *)
-          let setup =
-            match t.iad with
-            | Some s when Markov.Op_multigrid.matches s t.op -> s
-            | _ ->
-                let s = Markov.Op_multigrid.prepare ~coarse_hierarchy ~partition t.op in
-                t.iad <- Some s;
-                s
-          in
-          let solution, _stats =
-            Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup t.op
-          in
-          solution)
+let solve ?(solver = `Power) ?ctx t =
+  Chain_spec.solve ~scope:"model" ~labels:[ ("backend", "kron") ]
+    ~solver:(solver :> Chain_spec.solver)
+    ?ctx (spec t)
 
-let phase_marginal t ~pi =
-  Markov.Stat.marginal ~pi ~label:(fun i -> i mod t.m) ~n_labels:t.m
+let phase_marginal t ~pi = Chain_spec.phase_marginal (spec t) ~pi
 
-let slip_rate t ~pi =
-  if Array.length pi <> t.n_states then invalid_arg "Kron_model.slip_rate: dimension mismatch";
-  let cfg = t.config in
-  let m = t.m in
-  let acc = ref 0.0 in
-  Cdr_op.iter_entries t.op (fun i j v ->
-      if Phase_error.crosses_boundary cfg ~src:(i mod m) ~dst:(j mod m) then
-        acc := !acc +. (pi.(i) *. v));
-  !acc
+let slip_rate t ~pi = Chain_spec.slip_rate (spec t) ~pi
 
-let mean_time_between_slips t ~pi =
-  let r = slip_rate t ~pi in
-  if r <= 0.0 then Float.infinity else 1.0 /. r
+let mean_time_between_slips t ~pi = Chain_spec.mean_time_between_slips (spec t) ~pi

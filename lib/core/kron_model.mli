@@ -51,31 +51,31 @@ val phase_bin : t -> int -> int
 val index_of : t -> data:int -> counter:int -> phase:int -> int option
 (** Always [Some] for in-range codes — the full space has every triple. *)
 
+val spec : t -> Chain_spec.t
+(** The model as a {!Chain_spec.t}: the Kronecker operator, the
+    full-product-space coordinate codes and the [iad] memo. *)
+
 type solver = [ `Power | `Jacobi | `Multigrid ]
 
 val solver_name : solver -> string
 
 val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
-(** Stationary distribution, matrix-free. Default [`Power] (the workhorse at
-    scale). [`Jacobi] runs the damped operator splitting; [`Multigrid] runs
-    {!Markov.Op_multigrid} with the first {!hierarchy} level as the
-    aggregation partition and the rest solving the coarse chain (falling
-    back to power when the model is below the direct-solve size).
-    [ctx.cancel] is polled by the [`Multigrid] path only, matching
-    {!Model.solve}. Uses [ctx]'s tolerance, warm start (ignored on a length
-    mismatch), trace and pool. *)
+(** Stationary distribution, matrix-free ({!Chain_spec.solve}). Default
+    [`Power] (the workhorse at scale). [`Jacobi] runs the damped operator
+    splitting; [`Multigrid] runs {!Markov.Op_multigrid} with the first
+    {!hierarchy} level as the aggregation partition and the rest solving
+    the coarse chain, prepared once into [iad] (falling back to power when
+    the model is below the direct-solve size). *)
 
 val hierarchy : t -> Markov.Partition.t list
-(** {!Model.hierarchy}'s coarsening strategy (halve phase bins, then the
-    counter) on the full product space, where the lumping maps are pure
-    arithmetic. *)
+(** {!Chain_spec.hierarchy} on the full product space, where first-appearance
+    block numbering reduces to the arithmetic mixed-radix maps. *)
 
 val phase_marginal : t -> pi:Linalg.Vec.t -> Linalg.Vec.t
 (** Stationary marginal over phase bins — feed to {!Ber.of_marginal}. *)
 
 val slip_rate : t -> pi:Linalg.Vec.t -> float
-(** Stationary probability flux through boundary-wrapping transitions,
-    computed by enumerating the operator's entries matrix-free — the
-    {!Cycle_slip.rate} functional without the CSR. *)
+(** {!Chain_spec.slip_rate}: the stationary boundary-crossing flux,
+    enumerated matrix-free. *)
 
 val mean_time_between_slips : t -> pi:Linalg.Vec.t -> float

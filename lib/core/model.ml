@@ -369,102 +369,19 @@ let rebuild ?pool t cfg =
 
 let operator t = Cdr_op.Csr_backend.create (Markov.Chain.tpm t.chain)
 
-let phase_marginal t ~pi =
-  Markov.Stat.marginal ~pi ~label:t.phase_bin ~n_labels:t.config.Config.grid_points
+let spec t =
+  {
+    Chain_spec.op = operator t;
+    chain = Some t.chain;
+    lead = t.data_code;
+    counter = t.counter_code;
+    phase = t.phase_bin;
+    config = t.config;
+    iad = Chain_spec.no_memo;
+  }
 
-let hierarchy t =
-  (* keys of the current level; level 0 = chain states. Coarsening lumps
-     pairs of consecutive phase bins (the paper's strategy); once the phase
-     grid cannot be halved any further but the level is still too large for a
-     direct solve, counter pairs are lumped as well (the counter is the other
-     slow coordinate on long-filter designs). *)
-  let keys = Array.init t.n_states (fun i -> (t.data_code i, t.counter_code i, t.phase_bin i)) in
-  let rec go keys acc =
-    let n = Array.length keys in
-    let max_phase = Array.fold_left (fun m (_, _, p) -> max m p) 0 keys in
-    let max_counter = Array.fold_left (fun m (_, c, _) -> max m c) 0 keys in
-    if n <= Markov.Gth.max_direct_size || (max_phase < 1 && max_counter < 1) then List.rev acc
-    else begin
-      let coarse_key =
-        if max_phase >= 1 then fun (d, c, p) -> (d, c, p / 2) else fun (d, c, p) -> (d, c / 2, p)
-      in
-      let table = Hashtbl.create (2 * n) in
-      let coarse_keys = ref [] in
-      let next = ref 0 in
-      let map =
-        Array.map
-          (fun key0 ->
-            let key = coarse_key key0 in
-            match Hashtbl.find_opt table key with
-            | Some b -> b
-            | None ->
-                let b = !next in
-                Hashtbl.add table key b;
-                coarse_keys := key :: !coarse_keys;
-                incr next;
-                b)
-          keys
-      in
-      let partition = Markov.Partition.create map in
-      go (Array.of_list (List.rev !coarse_keys)) (partition :: acc)
-    end
-  in
-  go keys []
+let phase_marginal t ~pi = Chain_spec.phase_marginal (spec t) ~pi
 
-let solver_name = function
-  | `Multigrid -> "multigrid"
-  | `Power -> "power"
-  | `Gauss_seidel -> "gauss-seidel"
-  | `Jacobi -> "jacobi"
-  | `Sor _ -> "sor"
-  | `Arnoldi -> "arnoldi"
-  | `Aggregation -> "aggregation"
+let hierarchy t = Chain_spec.hierarchy (spec t)
 
-let solve ?(solver = `Multigrid) ?tol ?init ?cache ?trace ?pool ?smoother ?(ctx = Context.default)
-    t =
-  (* the per-call optional arguments are wrappers over the context: an
-     explicit argument wins, an omitted one falls back to the context field,
-     and the default context reproduces the historical defaults bitwise *)
-  let ctx = Context.override ?tol ?init ?cache ?trace ?pool ?smoother ctx in
-  let { Context.tol; cache; trace; pool; smoother; cancel; _ } = ctx in
-  Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:[ ("solver", solver_name solver) ] @@ fun () ->
-  Cdr_obs.Metrics.incr "model.solves" ~labels:[ ("solver", solver_name solver) ];
-  (* an init of the wrong length (e.g. threaded across a counter sweep whose
-     state count moved) is dropped, not an error: warm-starting is an
-     optimization, never a constraint *)
-  let init =
-    match ctx.Context.init with
-    | Some v when Array.length v = t.n_states -> Some v
-    | Some _ | None -> None
-  in
-  match solver with
-  | `Multigrid ->
-      let solution, _stats =
-        match cache with
-        | Some cache ->
-            let s =
-              Solver_cache.setup cache ~smoother ~hierarchy:(fun () -> hierarchy t) t.chain
-            in
-            Markov.Multigrid.solve_with ~tol ?init ?trace ?pool ?cancel s t.chain
-        | None ->
-            Markov.Multigrid.solve ~tol ?init ?trace ?pool ?cancel ~smoother
-              ~hierarchy:(hierarchy t) t.chain
-      in
-      solution
-  | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool t.chain
-  | `Gauss_seidel ->
-      Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool
-        t.chain
-  | `Jacobi ->
-      Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool t.chain
-  | `Sor omega ->
-      Markov.Splitting.solve ~method_:(Markov.Splitting.Sor omega) ~tol ?init ?trace ?pool
-        t.chain
-  | `Arnoldi -> Markov.Arnoldi.solve ~tol ?trace t.chain
-  | `Aggregation ->
-      let partition =
-        match hierarchy t with
-        | first :: _ -> first
-        | [] -> Markov.Partition.identity t.n_states
-      in
-      Markov.Aggregation.solve ~tol ~partition t.chain
+let solve ?solver ?ctx t = Chain_spec.solve ~scope:"model" ~labels:[] ?solver ?ctx (spec t)

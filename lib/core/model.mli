@@ -102,54 +102,23 @@ val operator : t -> Cdr_op.t
     counterpart of {!Kron_model.operator}, so backend-generic code (solvers,
     benches, tests) can treat both representations uniformly. *)
 
+val spec : t -> Chain_spec.t
+(** The model as a {!Chain_spec.t}: the CSR operator and chain, the
+    (data, counter, phase) coordinate codes and the config. *)
+
 val phase_marginal : t -> pi:Linalg.Vec.t -> Linalg.Vec.t
 (** Stationary marginal over phase bins (the density the paper plots). *)
 
 val hierarchy : t -> Markov.Partition.t list
-(** Structured multigrid coarsening: each level lumps pairs of consecutive
-    phase bins while keeping the FSM coordinates — the paper's coarsening
-    strategy. Halving stops once the level fits {!Markov.Gth.max_direct_size}
-    or the phase grid cannot be halved further. *)
+(** {!Chain_spec.hierarchy}: lump pairs of consecutive phase bins, then
+    counter pairs, until a level fits a direct solve. *)
 
-val solve :
-  ?solver:
-    [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ] ->
-  ?tol:float ->
-  ?init:Linalg.Vec.t ->
-  ?cache:Solver_cache.t ->
-  ?trace:Cdr_obs.Trace.t ->
-  ?pool:Cdr_par.Pool.t ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?ctx:Context.t ->
-  t ->
-  Markov.Solution.t
-(** Stationary distribution; default [`Multigrid] with the structured
-    {!hierarchy} (and tolerance [1e-12]). [?init] warm-starts the iterative
-    solvers (multigrid, power, the splittings) from a given vector instead of
-    the uniform one — the continuation device for sweeps, where the previous
-    point's stationary density is an excellent guess for the next; an [init]
-    of the wrong length is ignored. [?cache] (multigrid only) looks the
-    symbolic setup up by the chain's sparsity structure instead of rebuilding
-    it (see {!Solver_cache}). [?trace] is forwarded to the
-    selected solver's convergence recorder ([`Aggregation] does not record
-    one). [?pool] is forwarded to the solvers that have deterministic
-    parallel kernels (multigrid, power, the splittings); [`Aggregation] and
-    [`Arnoldi] ignore it. [?smoother] (multigrid only, default [`Lex])
-    selects the Gauss-Seidel variant — see {!Markov.Multigrid.smoother} —
-    and participates in the [?cache] key. The whole solve runs inside a
-    ["model.solve"] span.
-
-    [?ctx] bundles every one of these knobs (plus a cooperative-cancellation
-    hook polled between multigrid V-cycles) into one {!Context.t}; the
-    per-call arguments are thin wrappers that override the matching context
-    field, and omitting both yields {!Context.default} — the historical
-    behavior, bitwise. A firing [ctx.cancel] aborts a multigrid solve with
-    {!Markov.Multigrid.Cancelled}; the other solvers do not poll it. *)
-
-val solver_name :
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ] ->
-  string
-(** Stable lower-case names used in span attributes and telemetry labels. *)
+val solve : ?solver:Chain_spec.solver -> ?ctx:Context.t -> t -> Markov.Solution.t
+(** Stationary distribution ({!Chain_spec.solve}, default [`Multigrid] on
+    the structured {!hierarchy}, through [ctx.cache] when set) inside a
+    ["model.solve"] span. The context carries the tolerance, warm start,
+    trace, pool, smoother and cancellation hook; {!Context.default}
+    reproduces the historical defaults bitwise. *)
 
 val network : Config.t -> Fsm.Network.t * int array
 (** The underlying FSM network and its initial state vector (exposed for

@@ -14,15 +14,7 @@ let run_model ?(solver = `Multigrid) ?pool ?init ?cache ?smoother ?(ctx = Contex
     =
   let ctx = Context.override ?pool ?init ?cache ?smoother ctx in
   Cdr_obs.Span.with_ ~name:"report.run" @@ fun () ->
-  let trace =
-    Cdr_obs.Trace.create
-      ~name:
-        (Model.solver_name
-           (solver
-             :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation
-                | `Arnoldi ]))
-      ()
-  in
+  let trace = Cdr_obs.Trace.create ~name:(Chain_spec.solver_name solver) () in
   (* the report owns the convergence trace it returns, so it overrides any
      trace the caller's context carries *)
   let ctx = Context.override ~trace ctx in

@@ -51,24 +51,26 @@ val n_states : t -> int
 
 val operator : t -> Cdr_op.t
 
+val spec : t -> Cdr.Chain_spec.t
+(** The composed chain as a {!Cdr.Chain_spec.t}: lead coordinate
+    [regime * n_data + data], the base config (whose grid marks a slip) and
+    the [iad] memo. *)
+
 val hierarchy : t -> Markov.Partition.t list
-(** {!Cdr.Model.hierarchy}'s strategy (halve phases, then the counter) on
-    the composed space. Regimes and data are never lumped: the regime
-    coordinate carries the modulation — aggregating it away is exactly the
-    mixture approximation the composed model exists to avoid. *)
+(** {!Cdr.Chain_spec.hierarchy} on the composed space: halve phases, then
+    the counter. Regimes and data are never lumped: the regime coordinate
+    carries the modulation — aggregating it away is exactly the mixture
+    approximation the composed model exists to avoid. *)
 
 type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
 
-val solver_name : solver -> string
-
 val solve : ?solver:solver -> ?ctx:Cdr.Context.t -> t -> Markov.Solution.t
-(** Stationary distribution of the composed chain (default [`Multigrid]).
-    The [`Csr] repr dispatches like {!Cdr.Model.solve} (including the
-    context's {!Cdr.Solver_cache}); the [`Kron] repr dispatches like
-    {!Cdr.Kron_model.solve} with the memoized IAD setup, and rejects
-    [`Gauss_seidel] with [Invalid_argument] (no matrix-free sweep). Uses
-    the context's tolerance, warm start (dropped on length mismatch),
-    smoother, trace, pool and cancellation. *)
+(** Stationary distribution of the composed chain (default [`Multigrid])
+    through {!Cdr.Chain_spec.solve} in an ["env.solve"] span: the [`Csr]
+    repr runs the CSR multigrid (through the context's
+    {!Cdr.Solver_cache}), the [`Kron] repr the memoized IAD setup, and
+    [`Gauss_seidel] on the [`Kron] repr raises [Invalid_argument] (no
+    matrix-free sweep). *)
 
 val regime_probs : t -> pi:Linalg.Vec.t -> float array
 (** Stationary regime marginal [P(E = e)]. *)

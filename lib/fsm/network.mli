@@ -33,16 +33,6 @@ val create : sources:source array -> components:Component.t array -> wiring:sign
 val n_global_states : t -> int
 (** Product-space size (before reachability pruning). *)
 
-val sources : t -> source array
-
-val components : t -> Component.t array
-
-val wiring : t -> signal array array
-(** The validated topology, exposed read-only for structural analyses —
-    {!Kron_build} walks it to decide whether the network's transition
-    operator factorizes into Kronecker terms. [wiring net] aliases internal
-    arrays; callers must not mutate them. *)
-
 val encode : t -> int array -> int
 (** Mixed-radix packing of per-component states. *)
 

@@ -3,7 +3,12 @@
     Markov-chain states (a linear system with the modified TPM). *)
 
 val mean_hitting_times :
-  ?tol:float -> ?max_iter:int -> Chain.t -> target:(int -> bool) -> Linalg.Vec.t
+  ?tol:float ->
+  ?max_iter:int ->
+  ?cancel:(unit -> bool) ->
+  Chain.t ->
+  target:(int -> bool) ->
+  Linalg.Vec.t
 (** [mean_hitting_times c ~target] returns [m] with [m.(i)] the expected
     number of steps to first reach the target set starting from [i]
     ([0.] on target states, [infinity] where the target is unreachable).
@@ -14,15 +19,13 @@ val mean_hitting_times :
     extrapolation windows agree to [tol] (relative, default [1e-6]; rare-
     event accuracy is limited by the dominance-ratio estimate, so demanding
     much tighter tolerances mostly costs sweeps). [max_iter = 500_000]
-    sweeps bounds the worst case. Raises [Invalid_argument] when the target
-    is empty. *)
+    sweeps bounds the worst case. [?cancel] is polled once per 50-sweep
+    extrapolation window; when it fires the solve raises
+    {!Multigrid.Cancelled}. Raises [Invalid_argument] when the target is
+    empty. *)
 
-val absorption_probabilities :
-  ?tol:float -> ?max_iter:int -> Chain.t -> a:(int -> bool) -> b:(int -> bool) -> Linalg.Vec.t
-(** Probability of hitting set [a] before set [b], per start state. The two
-    sets must be disjoint and non-empty. *)
-
-val flux : Chain.t -> pi:Linalg.Vec.t -> crossing:(int -> int -> bool) -> float
+val flux : Cdr_op.t -> pi:Linalg.Vec.t -> crossing:(int -> int -> bool) -> float
 (** Stationary probability flux through the marked transitions:
-    [sum pi_i P_ij] over pairs with [crossing i j]. Events per step; its
-    inverse is a mean time between events. *)
+    [sum pi_i P_ij] over pairs with [crossing i j], summed in
+    {!Cdr_op.iter_entries} order (row by row), so it runs on either
+    backend. Events per step; its inverse is a mean time between events. *)

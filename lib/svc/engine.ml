@@ -73,9 +73,7 @@ let point_json ~key ~value (pt : Cdr.Sweep.point) =
       ("iterations", int_num pt.Cdr.Sweep.report.Cdr.Report.iterations);
     ]
 
-let full_solver p =
-  (p.Params.solver
-    :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ])
+let full_solver p = (p.Params.solver :> Cdr.Chain_spec.solver)
 
 (* the "stats" payload: a self-describing snapshot of the serving process,
    assembled from the metrics registry and the engine's own cache. Served
@@ -173,11 +171,8 @@ let get_kron_model t params config =
   let key = Params.model_key params in
   let model = Cdr.Kron_model.build config in
   (match t.last_kron with
-  | Some (k, prev) when k = key -> (
-      match prev.Cdr.Kron_model.iad with
-      | Some s when Markov.Op_multigrid.matches s model.Cdr.Kron_model.op ->
-          model.Cdr.Kron_model.iad <- Some s
-      | _ -> ())
+  | Some (k, prev) when k = key ->
+      Cdr.Chain_spec.transplant_iad ~from:(Cdr.Kron_model.spec prev) (Cdr.Kron_model.spec model)
   | _ -> ());
   t.last_kron <- Some (key, model);
   model
@@ -202,13 +197,11 @@ let get_env_model t params config env =
     | Some (k, m) when k = key -> m
     | prev ->
         let m = Cdr_env.Composed.build ~backend:params.Params.backend env config in
-        (match prev with
-        | Some (_, old) -> (
-            match old.Cdr_env.Composed.iad with
-            | Some s when Markov.Op_multigrid.matches s m.Cdr_env.Composed.op ->
-                m.Cdr_env.Composed.iad <- Some s
-            | _ -> ())
-        | None -> ());
+        Option.iter
+          (fun (_, old) ->
+            Cdr.Chain_spec.transplant_iad ~from:(Cdr_env.Composed.spec old)
+              (Cdr_env.Composed.spec m))
+          prev;
         m
   in
   t.last_env <- Some (key, model);
@@ -277,9 +270,19 @@ let scenarios_payload () =
              Cdr.Scenario.all) );
     ]
 
-(* Analyze on the matrix-free backend: same response shape as the CSR path,
-   solved through {!Cdr.Kron_model} (full product space, never
-   materialized). *)
+(* the "analyze" payload, one shape for both backends *)
+let analyze_payload ~ber ~size ~iterations ~solve_seconds ~mean_bits_between_slips =
+  Cdr_obs.Jsonl.Obj
+    [
+      ("ber", num ber);
+      ("size", int_num size);
+      ("iterations", int_num iterations);
+      ("solve_seconds", num solve_seconds);
+      ("mean_bits_between_slips", num mean_bits_between_slips);
+    ]
+
+(* Analyze on the matrix-free backend, solved through {!Cdr.Kron_model}
+   (full product space, never materialized). *)
 let run_analyze_kron t ~ctx p config =
   let solver =
     match p.Params.solver with
@@ -295,17 +298,11 @@ let run_analyze_kron t ~ctx p config =
         |> fun (((), sol), degraded) -> (sol, degraded))
   in
   let pi = sol.Markov.Solution.pi in
-  let rho = Cdr.Kron_model.phase_marginal model ~pi in
-  let ber = Cdr.Ber.of_marginal config ~rho in
-  let mtbf = Cdr.Kron_model.mean_time_between_slips model ~pi in
-  ( Cdr_obs.Jsonl.Obj
-      [
-        ("ber", num ber);
-        ("size", int_num (Cdr.Kron_model.n_states model));
-        ("iterations", int_num sol.Markov.Solution.iterations);
-        ("solve_seconds", num solve_seconds);
-        ("mean_bits_between_slips", num mtbf);
-      ],
+  ( analyze_payload
+      ~ber:(Cdr.Ber.of_marginal config ~rho:(Cdr.Kron_model.phase_marginal model ~pi))
+      ~size:(Cdr.Kron_model.n_states model) ~iterations:sol.Markov.Solution.iterations
+      ~solve_seconds
+      ~mean_bits_between_slips:(Cdr.Kron_model.mean_time_between_slips model ~pi),
     degraded )
 
 let reject_kron kind =
@@ -329,15 +326,10 @@ let run_kind t ~ctx req config =
         with_degraded_retry ctx (fun ctx ->
             Cdr.Report.run_model ~solver:p.Params.solver ~ctx model)
       in
-      let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi in
-      ( Cdr_obs.Jsonl.Obj
-          [
-            ("ber", num report.Cdr.Report.ber);
-            ("size", int_num report.Cdr.Report.size);
-            ("iterations", int_num report.Cdr.Report.iterations);
-            ("solve_seconds", num report.Cdr.Report.solve_seconds);
-            ("mean_bits_between_slips", num mtbf);
-          ],
+      ( analyze_payload ~ber:report.Cdr.Report.ber ~size:report.Cdr.Report.size
+          ~iterations:report.Cdr.Report.iterations ~solve_seconds:report.Cdr.Report.solve_seconds
+          ~mean_bits_between_slips:
+            (Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi),
         degraded )
   | Protocol.Slip ->
       let model = get_model t p config in
@@ -350,7 +342,7 @@ let run_kind t ~ctx req config =
           [
             ("slip_rate", num (Cdr.Cycle_slip.rate model ~pi));
             ("mean_bits_between_slips", num (Cdr.Cycle_slip.mean_time_between model ~pi));
-            ("mean_bits_to_first_slip", num (Cdr.Cycle_slip.mean_first_slip_time model));
+            ("mean_bits_to_first_slip", num (Cdr.Cycle_slip.mean_first_slip_time ~ctx model));
           ],
         degraded )
   | Protocol.Sweep lengths ->

