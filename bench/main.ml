@@ -96,9 +96,10 @@ let exp_solve () =
         Cdr.Config.create_exn { Cdr.Config.default with Cdr.Config.grid_points; sigma_w = 0.04 }
       in
       let model = Cdr.Model.build cfg in
-      let mg, mg_t = time (fun () -> Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol ()) model) in
-      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~ctx:(Cdr.Context.make ~tol ()) model) in
-      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~ctx:(Cdr.Context.make ~tol ()) model) in
+      let ctx = Cdr.Context.make ~tol () in
+      let mg, mg_t = time (fun () -> Cdr.Model.solve ~ctx model) in
+      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model) in
+      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~ctx model) in
       Format.printf "%-6d %-8d %6d cyc %9.2fs %6d swp %9.2fs %6d it %10.2fs@." grid_points
         model.Cdr.Model.n_states mg.Markov.Solution.iterations mg_t gs.Markov.Solution.iterations
         gs_t pw.Markov.Solution.iterations pw_t)
@@ -444,11 +445,12 @@ let exp_smoke () =
       }
   in
   let cache = Cdr.Solver_cache.create () in
+  let ctx = Cdr.Context.make ~cache () in
   let model = Cdr.Model.build cfg in
-  let _ = Cdr.Model.solve ~ctx:(Cdr.Context.make ~cache ()) model in
-  let _ = Cdr.Model.solve ~ctx:(Cdr.Context.make ~cache ()) model in
+  let _ = Cdr.Model.solve ~ctx model in
+  let _ = Cdr.Model.solve ~ctx model in
   let model2, reused = Cdr.Model.rebuild model { cfg with Cdr.Config.sigma_w = 0.0611 } in
-  let _ = Cdr.Model.solve ~ctx:(Cdr.Context.make ~cache ()) model2 in
+  let _ = Cdr.Model.solve ~ctx model2 in
   Format.printf "1 direct build, 3 multigrid solves, 1 in-place rebuild (pattern reused: %b)@."
     reused;
   Format.printf "solver cache: %d hits, %d misses@." (Cdr.Solver_cache.hits cache)
@@ -1117,7 +1119,8 @@ let kernels () =
       Test.make ~name:"build-direct-ref"
         (Staged.stage (fun () -> ignore (Cdr.Model.build_direct_reference cfg_small)));
       Test.make ~name:"mg-solve"
-        (Staged.stage (fun () -> ignore (Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol:1e-8 ()) model)));
+        (Staged.stage (fun () ->
+             ignore (Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol:1e-8 ()) model)));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -335,7 +335,11 @@ let analyze_term =
               let report = Cdr.Report.run ~solver ~pool ~smoother cfg in
               Format.printf "%a@." Cdr.Report.pp report;
               let model = Cdr.Model.build ~pool cfg in
-              let solution = Cdr.Model.solve ~solver:(widen_solver solver) ~ctx:(Cdr.Context.make ~pool ~smoother ()) model in
+              let solution =
+                Cdr.Model.solve ~solver:(widen_solver solver)
+                  ~ctx:(Cdr.Context.make ~pool ~smoother ())
+                  model
+              in
               let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
               Format.printf "Mean time between cycle slips: %.3e bit intervals@." mtbf;
               report

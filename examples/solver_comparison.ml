@@ -25,9 +25,10 @@ let () =
           { Cdr.Config.default with Cdr.Config.grid_points; sigma_w = 0.04 }
       in
       let model = Cdr.Model.build cfg in
-      let mg, mg_t = time (fun () -> Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol ()) model) in
-      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~ctx:(Cdr.Context.make ~tol ()) model) in
-      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~ctx:(Cdr.Context.make ~tol ()) model) in
+      let ctx = Cdr.Context.make ~tol () in
+      let mg, mg_t = time (fun () -> Cdr.Model.solve ~ctx model) in
+      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model) in
+      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~ctx model) in
       Format.printf "%-6d %-8d | %6d cycles %8.2fs | %6d sweeps %8.2fs | %6d iters %8.2fs@."
         grid_points model.Cdr.Model.n_states mg.Markov.Solution.iterations mg_t
         gs.Markov.Solution.iterations gs_t pw.Markov.Solution.iterations pw_t;

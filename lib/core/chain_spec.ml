@@ -17,7 +17,8 @@ type t = {
 
 let n_states t = Cdr_op.dim t.op
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+type solver =
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
 
 let solver_name : [< solver ] -> string = function
   | `Multigrid -> "multigrid"

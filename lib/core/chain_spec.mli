@@ -34,9 +34,8 @@ type t = {
   iad : memo;
 }
 
-val n_states : t -> int
-
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+type solver =
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
 
 val solver_name : [< solver ] -> string
 (** Stable lower-case names used in span attributes and telemetry labels. *)

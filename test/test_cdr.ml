@@ -454,7 +454,9 @@ let test_model_persistence_roundtrip () =
           Alcotest.(check bool) "TPM equal to 1 ulp" true
             (Sparse.Csr.equal ~tol:1e-15 (Markov.Chain.tpm model.Cdr.Model.chain)
                (Markov.Chain.tpm reloaded));
-          let sol = Cdr.Model.solve ~solver:`Gauss_seidel ~ctx:(Cdr.Context.make ~tol:1e-11 ()) model in
+          let sol =
+            Cdr.Model.solve ~solver:`Gauss_seidel ~ctx:(Cdr.Context.make ~tol:1e-11 ()) model
+          in
           let sol' =
             Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-11 reloaded
           in

@@ -196,7 +196,8 @@ let test_engine_timeout_then_serve () =
    without converging, so a request deadline must cut it short *)
 let test_engine_slip_deadline () =
   let line =
-    "{\"id\":\"slip-deadline\",\"kind\":\"slip\",\"deadline_ms\":5000,\"params\":{\"version\":2,\"grid\":32,\"loop\":{\"phases\":16,\"counter\":4}}}"
+    {|{"id":"slip-deadline","kind":"slip","deadline_ms":5000,|}
+    ^ {|"params":{"version":2,"grid":32,"loop":{"phases":16,"counter":4}}}|}
   in
   let req =
     match parse line with Ok r -> r | Error (_, msg) -> Alcotest.failf "rejected: %s" msg
@@ -204,7 +205,9 @@ let test_engine_slip_deadline () =
   let engine = Cdr_svc.Engine.create () in
   let reply, replies = reply_capture () in
   let admitted = Cdr_obs.Clock.monotonic () in
-  let deadline = Option.map (fun ms -> admitted +. (ms /. 1000.)) req.Cdr_svc.Protocol.deadline_ms in
+  let deadline =
+    Option.map (fun ms -> admitted +. (ms /. 1000.)) req.Cdr_svc.Protocol.deadline_ms
+  in
   Cdr_svc.Engine.handle engine { Cdr_svc.Engine.request = req; deadline; admitted; reply };
   let elapsed = Cdr_obs.Clock.monotonic () -. admitted in
   match replies () with
